@@ -32,15 +32,15 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # bench-run collects the gated benchmark set into bench.out: the dense-core
-# kernels (graph, coloring, duplication — BenchmarkDense covers both the
-# flat/blocked probe benches and the 10k blocked-vs-CSR one), the
-# steady-state/batch throughput benchmarks of the root package, the
-# multi-core scaling matrix, and the incremental-recompilation sweep (both
-# without -benchmem: their rows archive the speedup curves — bench2json
-# derives speedup/efficiency from the workers=1 sibling and incr_speedup
-# from the /full sibling — they are not allocation-gated). Output goes to a
-# file, not a pipe, so a failing `go test` fails the target instead of
-# feeding a truncated stream to the converter.
+# kernels (graph, coloring, duplication — each dense benchmark beside its
+# map-backed reference baseline), the steady-state/batch throughput
+# benchmarks of the root package, the multi-core scaling matrix, and the
+# incremental-recompilation sweep (both without -benchmem: their rows
+# archive the speedup curves — bench2json derives speedup/efficiency from
+# the workers=1 sibling and incr_speedup from the /full sibling — they are
+# not allocation-gated). Output goes to a file, not a pipe, so a failing
+# `go test` fails the target instead of feeding a truncated stream to the
+# converter.
 bench-run:
 	$(GO) test -run='^$$' -bench='BenchmarkDense|BenchmarkColoring|BenchmarkDuplication' \
 		-benchmem ./internal/graph ./internal/coloring ./internal/duplication > bench.out

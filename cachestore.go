@@ -18,7 +18,7 @@ import (
 // directory written by an incompatible engine build reads as empty —
 // never as wrong answers. Bump it whenever cache keys, entry encodings
 // or the semantics behind them change.
-const EngineVersion = "parmem/2026-08"
+const EngineVersion = "parmem/2026-10"
 
 // DiskCacheStats is a snapshot of the persistent tier's counters.
 type DiskCacheStats = diskcache.Stats

@@ -148,11 +148,11 @@ func main() {
 }
 
 // printCacheStats prints the aggregate counters plus the per-memo-level
-// breakdown (whole assignments, duplication phases, atom colorings).
+// breakdown (whole assignments, atom colorings).
 func printCacheStats(c *parmem.AllocCache) {
 	st := c.Stats()
 	fmt.Printf("allocation cache: %d hits, %d misses, %d entries\n", st.Hits, st.Misses, st.Entries)
-	for _, lv := range []string{"assign", "dup", "atomcolor"} {
+	for _, lv := range []string{"assign", "atomcolor"} {
 		if ls, ok := st.Levels[lv]; ok {
 			fmt.Printf("  %-10s %d hits, %d misses\n", lv, ls.Hits, ls.Misses)
 		}

@@ -17,9 +17,7 @@
 // trace_event file of the pipeline (open in chrome://tracing or Perfetto);
 // -metrics dumps the engine metrics to stderr on exit; -telemetry-addr
 // serves /metrics, /debug/vars and /debug/pprof live (-telemetry-linger
-// keeps it up after the run); -reference runs the map-graph reference
-// assignment phases instead of the dense core (ablation); -cache-dir
-// persists the allocation cache across runs, so recompiling the same
+// keeps it up after the run); -cache-dir persists the allocation cache across runs, so recompiling the same
 // program skips its coloring and duplication searches entirely.
 //
 // -batch treats every positional argument as a file or glob pattern and
@@ -81,7 +79,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "assignment worker pool size (0 = one per CPU, 1 = sequential)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		reference  = flag.Bool("reference", false, "use the map-graph reference assignment phases (ablation)")
 		cacheDir   = flag.String("cache-dir", "", "persist the allocation cache here; later runs reuse earlier results")
 	)
 	tcfg := telemetrycli.Flags(flag.CommandLine)
@@ -118,7 +115,6 @@ func main() {
 		DisableAtoms:    *noAtoms,
 		DisableRenaming: *noRename,
 		Workers:         *workers,
-		Reference:       *reference,
 		Telemetry:       rec,
 	}
 	switch *strategy {

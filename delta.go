@@ -46,10 +46,9 @@ type AssignResult struct {
 
 	state *assign.IncrState
 	// Option fingerprint the state was built under; deltas must match.
-	k         int
-	strategy  Strategy
-	method    Method
-	reference bool
+	k        int
+	strategy Strategy
+	method   Method
 }
 
 // Instructions returns a copy of the result's instruction stream — the
@@ -86,7 +85,6 @@ func (cfg AssignConfig) engineOptions(ctx context.Context) assign.Options {
 		Budget:    cfg.Budget,
 		Workers:   cfg.Workers,
 		Cache:     cache,
-		Reference: cfg.Reference,
 		Meter:     cfg.meter,
 		Telemetry: cfg.Telemetry,
 	}
@@ -115,7 +113,7 @@ func AssignValuesIncremental(ctx context.Context, instrs []Instruction, cfg Assi
 	}
 	return &AssignResult{
 		Alloc: al, Incremental: stats, state: state,
-		k: cfg.K, strategy: cfg.Strategy, method: cfg.Method, reference: cfg.Reference,
+		k: cfg.K, strategy: cfg.Strategy, method: cfg.Method,
 	}, nil
 }
 
@@ -128,7 +126,7 @@ func AssignValuesIncremental(ctx context.Context, instrs []Instruction, cfg Assi
 // budget is not exhausted mid-run; res.Incremental reports what was
 // reused.
 //
-// cfg's K, Strategy, Method and Reference must match the configuration
+// cfg's K, Strategy and Method must match the configuration
 // prev was built under (a *ConfigError reports a mismatch); Workers,
 // Budget, Store and Telemetry are free to differ. prev is not mutated —
 // it remains a valid base for further deltas.
@@ -145,8 +143,6 @@ func AssignValuesDelta(ctx context.Context, prev *AssignResult, delta Delta, cfg
 		return nil, configErrf("AssignConfig.K", "%d: prior result was built with K=%d", cfg.K, prev.k)
 	case cfg.Method != prev.method:
 		return nil, configErrf("AssignConfig.Method", "%v: prior result was built with %v", cfg.Method, prev.method)
-	case cfg.Reference != prev.reference:
-		return nil, configErrf("AssignConfig.Reference", "%v: prior result was built with %v", cfg.Reference, prev.reference)
 	}
 	al, state, stats, err := assign.AssignDelta(prev.state, delta, cfg.engineOptions(ctx))
 	if err != nil {
@@ -157,6 +153,6 @@ func AssignValuesDelta(ctx context.Context, prev *AssignResult, delta Delta, cfg
 	}
 	return &AssignResult{
 		Alloc: al, Incremental: stats, state: state,
-		k: cfg.K, strategy: cfg.Strategy, method: cfg.Method, reference: cfg.Reference,
+		k: cfg.K, strategy: cfg.Strategy, method: cfg.Method,
 	}, nil
 }

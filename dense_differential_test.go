@@ -2,8 +2,8 @@ package parmem
 
 // Differential testing of the dense graph core: every compilation must
 // produce a bit-identical allocation whether the hot assignment phases run
-// on the dense CSR/bitset snapshot (the default) or on the map-backed
-// reference implementations (Options.Reference). This is the pipeline-level
+// on the dense CSR snapshot (the default) or on the map-backed reference
+// implementations (assign.UseMapOracles). This is the pipeline-level
 // proof of the determinism contract stated on graph.Dense — unit tests pin
 // the individual algorithms, this pins their composition, including the
 // sequential and parallel engines.
@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"testing"
 
+	"parmem/internal/assign"
 	"parmem/internal/benchprog"
 )
 
@@ -85,13 +86,13 @@ func denseDiffConfigs() []Options {
 
 func assertSameAllocation(t *testing.T, label string, opt Options, src string) {
 	t.Helper()
-	optRef := opt
-	optRef.Reference = true
 	pd, err := Compile(src, opt)
 	if err != nil {
 		t.Fatalf("%s (%+v): dense compile: %v", label, opt, err)
 	}
-	pr, err := Compile(src, optRef)
+	restore := assign.UseMapOracles()
+	pr, err := Compile(src, opt)
+	restore()
 	if err != nil {
 		t.Fatalf("%s (%+v): reference compile: %v", label, opt, err)
 	}
@@ -158,7 +159,9 @@ func TestDenseBackendAssignValues(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d: dense assign: %v", iter, err)
 			}
-			ar, err := AssignValues(nil, instrs, AssignConfig{K: k, Method: method, Reference: true})
+			restore := assign.UseMapOracles()
+			ar, err := AssignValues(nil, instrs, AssignConfig{K: k, Method: method})
+			restore()
 			if err != nil {
 				t.Fatalf("iter %d: reference assign: %v", iter, err)
 			}

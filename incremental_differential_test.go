@@ -4,9 +4,8 @@ package parmem
 // delta-patched allocation must be bit-identical to a cold full recompile
 // of the edited instruction stream — across random edit sequences that
 // add, remove and change instructions (including edits that split and
-// merge conflict components), at workers=1 and workers=4, and across the
-// flat, blocked and CSR bitset representations of the patched dense
-// snapshot. Phases are excluded from the comparison: an incremental run
+// merge conflict components), at workers=1 and workers=4. Phases are
+// excluded from the comparison: an incremental run
 // honestly reports the (smaller) work it did, everything else must match
 // bit for bit.
 
@@ -17,7 +16,6 @@ import (
 	"testing"
 
 	"parmem/internal/benchprog"
-	"parmem/internal/graph"
 )
 
 // incrFingerprint is allocFingerprint without the phase names: the
@@ -139,16 +137,8 @@ func applyDeltaRef(instrs []Instruction, d Delta) []Instruction {
 // TestIncrementalDifferential drives the corpus through random delta
 // sequences, asserting at every step that the incremental allocation is
 // bit-identical to a cold AssignValues of the edited stream, for both
-// duplication methods, workers=1 and 4, and all three bitset kinds.
+// duplication methods and workers=1 and 4.
 func TestIncrementalDifferential(t *testing.T) {
-	kinds := []struct {
-		name          string
-		flat, blocked int
-	}{
-		{"flat", graph.DenseBitsetMaxN, graph.BlockedBitsetMaxN},
-		{"blocked", 8, graph.BlockedBitsetMaxN},
-		{"csr", 0, 0},
-	}
 	type seedProg struct {
 		name                     string
 		instrs                   []Instruction
@@ -178,54 +168,45 @@ func TestIncrementalDifferential(t *testing.T) {
 	if testing.Short() {
 		steps = 3
 	}
-	for _, kind := range kinds {
-		t.Run(kind.name, func(t *testing.T) {
-			restore := graph.SetBitsetCeilings(kind.flat, kind.blocked)
-			defer restore()
-			for pi, prog := range corpus {
-				for _, method := range []Method{HittingSet, Backtrack} {
-					for _, workers := range []int{1, 4} {
-						if testing.Short() && (method == Backtrack || workers == 4) && kind.name != "flat" {
-							continue
-						}
-						cfg := AssignConfig{K: 6, Method: method, Workers: workers}
-						rng := rand.New(rand.NewSource(int64(1000*pi) + int64(workers) + int64(method)*7))
-						res, err := AssignValuesIncremental(context.Background(), prog.instrs, cfg)
-						if err != nil {
-							t.Fatalf("%s/%v/w%d: cold incremental: %v", prog.name, method, workers, err)
-						}
-						cold, err := AssignValues(context.Background(), prog.instrs, cfg)
-						if err != nil {
-							t.Fatalf("%s/%v/w%d: cold full: %v", prog.name, method, workers, err)
-						}
-						if got, want := incrFP(res.Alloc), incrFP(cold); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s/%v/w%d: cold incremental != cold full:\n got %+v\nwant %+v",
-								prog.name, method, workers, got, want)
-						}
-						stream := append([]Instruction(nil), prog.instrs...)
-						for step := 0; step < steps; step++ {
-							d := randDelta(rng, len(stream), prog.blocks, prog.blockSize, prog.width)
-							stream = applyDeltaRef(stream, d)
-							res, err = AssignValuesDelta(context.Background(), res, d, cfg)
-							if err != nil {
-								t.Fatalf("%s/%v/w%d step %d: delta: %v", prog.name, method, workers, step, err)
-							}
-							if got := res.Instructions(); !reflect.DeepEqual(got, stream) {
-								t.Fatalf("%s/%v/w%d step %d: edited stream mismatch", prog.name, method, workers, step)
-							}
-							cold, err := AssignValues(context.Background(), stream, cfg)
-							if err != nil {
-								t.Fatalf("%s/%v/w%d step %d: cold: %v", prog.name, method, workers, step, err)
-							}
-							if got, want := incrFP(res.Alloc), incrFP(cold); !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s/%v/w%d step %d: incremental != cold:\n got %+v\nwant %+v\ndelta %+v",
-									prog.name, method, workers, step, got, want, d)
-							}
-						}
+	for pi, prog := range corpus {
+		for _, method := range []Method{HittingSet, Backtrack} {
+			for _, workers := range []int{1, 4} {
+				cfg := AssignConfig{K: 6, Method: method, Workers: workers}
+				rng := rand.New(rand.NewSource(int64(1000*pi) + int64(workers) + int64(method)*7))
+				res, err := AssignValuesIncremental(context.Background(), prog.instrs, cfg)
+				if err != nil {
+					t.Fatalf("%s/%v/w%d: cold incremental: %v", prog.name, method, workers, err)
+				}
+				cold, err := AssignValues(context.Background(), prog.instrs, cfg)
+				if err != nil {
+					t.Fatalf("%s/%v/w%d: cold full: %v", prog.name, method, workers, err)
+				}
+				if got, want := incrFP(res.Alloc), incrFP(cold); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%v/w%d: cold incremental != cold full:\n got %+v\nwant %+v",
+						prog.name, method, workers, got, want)
+				}
+				stream := append([]Instruction(nil), prog.instrs...)
+				for step := 0; step < steps; step++ {
+					d := randDelta(rng, len(stream), prog.blocks, prog.blockSize, prog.width)
+					stream = applyDeltaRef(stream, d)
+					res, err = AssignValuesDelta(context.Background(), res, d, cfg)
+					if err != nil {
+						t.Fatalf("%s/%v/w%d step %d: delta: %v", prog.name, method, workers, step, err)
+					}
+					if got := res.Instructions(); !reflect.DeepEqual(got, stream) {
+						t.Fatalf("%s/%v/w%d step %d: edited stream mismatch", prog.name, method, workers, step)
+					}
+					cold, err := AssignValues(context.Background(), stream, cfg)
+					if err != nil {
+						t.Fatalf("%s/%v/w%d step %d: cold: %v", prog.name, method, workers, step, err)
+					}
+					if got, want := incrFP(res.Alloc), incrFP(cold); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%v/w%d step %d: incremental != cold:\n got %+v\nwant %+v\ndelta %+v",
+							prog.name, method, workers, step, got, want, d)
 					}
 				}
 			}
-		})
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func levelKey(level string, n int) string {
 }
 
 func TestKeyLevel(t *testing.T) {
-	for _, lv := range []string{"assign", "dup", "atomcolor"} {
+	for _, lv := range []string{"assign", "comp", "atomcolor"} {
 		if got := KeyLevel(levelKey(lv, 7)); got != lv {
 			t.Errorf("KeyLevel(%q key) = %q", lv, got)
 		}
@@ -47,7 +47,7 @@ func TestConcurrentEvictionStress(t *testing.T) {
 		iters      = 500
 	)
 	c := New(capEntries)
-	levels := []string{"assign", "dup", "atomcolor"}
+	levels := []string{"assign", "comp", "atomcolor"}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -81,7 +81,7 @@ func TestConcurrentEvictionStress(t *testing.T) {
 	}
 	var levelTotal int64
 	for lv, ls := range st.Levels {
-		if lv != "assign" && lv != "dup" && lv != "atomcolor" {
+		if lv != "assign" && lv != "comp" && lv != "atomcolor" {
 			t.Errorf("unexpected level %q", lv)
 		}
 		levelTotal += ls.Hits + ls.Misses
@@ -110,14 +110,14 @@ func TestConcurrentEvictionStress(t *testing.T) {
 func TestEvictionOrderFIFO(t *testing.T) {
 	c := New(2)
 	for i := 0; i < 200; i++ {
-		c.Put(levelKey("dup", i), &stressEntry{v: []int{i}})
+		c.Put(levelKey("comp", i), &stressEntry{v: []int{i}})
 		if i >= 1 {
-			if _, ok := c.Get(levelKey("dup", i-1)); !ok {
+			if _, ok := c.Get(levelKey("comp", i-1)); !ok {
 				t.Fatalf("second-newest entry %d evicted early", i-1)
 			}
 		}
 		if i >= 2 {
-			if _, ok := c.Get(levelKey("dup", i-2)); ok {
+			if _, ok := c.Get(levelKey("comp", i-2)); ok {
 				t.Fatalf("entry %d should have been evicted", i-2)
 			}
 		}

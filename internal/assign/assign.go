@@ -89,6 +89,26 @@ func (m Method) String() string {
 	return "hittingset"
 }
 
+// The two graph phases of colorPhase: clique-separator decomposition and
+// the urgency coloring heuristic, both on the dense graph core.
+// UseMapOracles swaps in the map-backed implementations.
+var (
+	decomposeGraph = atoms.DecomposeParallel
+	colorGraph     = coloring.GuptaSoffa
+)
+
+// UseMapOracles makes every later assignment run the map-graph
+// implementations of the decomposition and the coloring heuristic instead
+// of the dense-core ones, and returns a func restoring the dense phases.
+// Both are bit-identical for every input; this is the hook of the
+// pipeline-level differential tests, and it must not be called
+// concurrently with an assignment.
+func UseMapOracles() (restore func()) {
+	pd, pc := decomposeGraph, colorGraph
+	decomposeGraph, colorGraph = atoms.DecomposeParallelRef, coloring.GuptaSoffaMap
+	return func() { decomposeGraph, colorGraph = pd, pc }
+}
+
 // Options configures an assignment run.
 type Options struct {
 	// K is the number of memory modules; required, >= 1.
@@ -127,18 +147,12 @@ type Options struct {
 	// paths. The parallel engine is bit-identical to the sequential one
 	// whenever the budget is not exhausted mid-run.
 	Workers int
-	// Cache memoizes subproblem results (atom colorings, duplication
-	// phases, whole assignments) across Assign calls. nil disables
+	// Cache memoizes subproblem results (atom colorings, incremental
+	// components, whole assignments) across Assign calls. nil disables
 	// caching. The cache is a pure memo — hits return exactly what the
 	// computation would have produced — and may be shared by concurrent
 	// assignments.
 	Cache *alloccache.Cache
-	// Reference runs the map-graph reference implementations of the
-	// coloring heuristic and the clique-separator decomposition instead of
-	// the dense-core ones. Both backends are bit-identical (enforced by the
-	// differential pipeline tests); the knob exists for those tests and for
-	// ablation benchmarks.
-	Reference bool
 	// Telemetry records spans and metrics for this assignment. nil (the
 	// default) disables all instrumentation at zero cost: every telemetry
 	// operation on a nil recorder is a no-op.
@@ -191,9 +205,10 @@ type PhaseReport struct {
 	// ("" when the primary strategy completed): "hittingset" or
 	// "fullreplication".
 	Fallback string
-	// Cached reports that at least one duplication call of the phase was
-	// served from the allocation cache instead of being recomputed (the
-	// synthetic "cache" phase of a whole-assignment hit sets it too).
+	// Cached reports that the phase was served, wholly or in part, from the
+	// allocation cache instead of being recomputed: the synthetic "cache"
+	// phase of a whole-assignment hit, or an incremental phase that reused
+	// components.
 	Cached bool
 }
 
@@ -374,7 +389,7 @@ func (st *phaseState) colorPhase(g *graph.Graph, opt Options) (map[int]int, []in
 
 	if opt.DisableAtoms {
 		csp := st.rec.StartSpan("color", st.span)
-		res := coloring.GuptaSoffa(work, coloring.Options{K: opt.K, Precolored: pre, Pick: opt.Pick, Reference: opt.Reference})
+		res := colorGraph(work, coloring.Options{K: opt.K, Precolored: pre, Pick: opt.Pick})
 		if csp != nil {
 			csp.SetAttr("nodes", int64(work.NumNodes()))
 			csp.SetAttr("unassigned", int64(len(res.Unassigned)))
@@ -393,12 +408,8 @@ func (st *phaseState) colorPhase(g *graph.Graph, opt Options) (map[int]int, []in
 	// worker pool; both produce identical results.
 	// The decomposition itself fans out per connected component (merged in
 	// component order, so it too is deterministic).
-	decompose := atoms.DecomposeParallel
-	if opt.Reference {
-		decompose = atoms.DecomposeParallelRef
-	}
 	dsp := st.rec.StartSpan("decompose", st.span)
-	dec := decompose(work, opt.workerCount())
+	dec := decomposeGraph(work, opt.workerCount())
 	st.atoms += len(dec.Atoms)
 	if dsp != nil {
 		dsp.SetAttr("nodes", int64(work.NumNodes()))
@@ -485,30 +496,17 @@ func (st *phaseState) runPhase(name string, instrs []conflict.Instruction, g *gr
 		}
 		var res duplication.Result
 		var err error
-		var key string
-		if opt.Cache != nil {
-			key = dupKey(in, opt)
-		}
 		dupSpan := st.rec.StartSpan("duplicate", st.span)
-		if hit := st.cachedDup(key, opt); hit != nil {
-			res = *hit
-			rep.Cached = true
-			dupSpan.SetAttrStr("cache", "hit")
-		} else {
-			w := opt.workerCount()
-			switch {
-			case opt.Method == Backtrack && w > 1:
-				res, err = duplication.BacktrackParallel(in, w)
-			case opt.Method == Backtrack:
-				res, err = duplication.Backtrack(in)
-			case w > 1:
-				res, err = duplication.HittingSetParallel(in, w)
-			default:
-				res, err = duplication.HittingSetApproach(in)
-			}
-			if err == nil {
-				st.storeDup(key, opt, res)
-			}
+		w := opt.workerCount()
+		switch {
+		case opt.Method == Backtrack && w > 1:
+			res, err = duplication.BacktrackParallel(in, w)
+		case opt.Method == Backtrack:
+			res, err = duplication.Backtrack(in)
+		case w > 1:
+			res, err = duplication.HittingSetParallel(in, w)
+		default:
+			res, err = duplication.HittingSetApproach(in)
 		}
 		if dupSpan != nil {
 			dupSpan.SetAttrStr("method", opt.Method.String())

@@ -10,7 +10,7 @@ import (
 	"parmem/internal/duplication"
 )
 
-// Binary codecs for the three memo levels, registered with alloccache so
+// Binary codecs for the disk-backed memo levels, registered with alloccache so
 // a byte backing (the disk tier) can hold engine entries. The encoding is
 // hand-rolled varints rather than JSON because ModSet is a full uint64
 // bitmask — module 63 sets bit 63, which a JSON number cannot carry — and
@@ -22,16 +22,14 @@ import (
 // slices are nil when empty, maps are always non-nil. That keeps a
 // disk-tier hit bit-identical to recomputation under reflect.DeepEqual.
 
+// Format byte 0x01 belonged to the retired duplication-call level and is
+// not reused.
 const (
-	codecDup       = 0x01
 	codecAlloc     = 0x02
 	codecAtomColor = 0x03
 )
 
 func init() {
-	alloccache.RegisterCodec("dup", alloccache.Codec{
-		Encode: encodeDupEntry, Decode: decodeDupEntry,
-	})
 	alloccache.RegisterCodec("assign", alloccache.Codec{
 		Encode: encodeAllocEntry, Decode: decodeAllocEntry,
 	})
@@ -234,36 +232,6 @@ func newReader(data []byte, format byte, what string) (*byteReader, error) {
 		return nil, fmt.Errorf("entrycodec: bad %s format byte", what)
 	}
 	return &byteReader{b: data[1:]}, nil
-}
-
-// --- dup level ---
-
-func encodeDupEntry(e alloccache.Entry) ([]byte, error) {
-	d, ok := e.(*dupResultEntry)
-	if !ok {
-		return nil, fmt.Errorf("entrycodec: dup level got %T", e)
-	}
-	b := []byte{codecDup}
-	b = putCopies(b, d.copies)
-	b = putInts(b, d.residual)
-	b = putVarint(b, int64(d.newCopies))
-	return b, nil
-}
-
-func decodeDupEntry(data []byte) (alloccache.Entry, error) {
-	r, err := newReader(data, codecDup, "dup")
-	if err != nil {
-		return nil, err
-	}
-	d := &dupResultEntry{
-		copies:    r.copies("dup copies"),
-		residual:  r.ints("dup residual"),
-		newCopies: r.intval("dup newCopies"),
-	}
-	if err := r.done("dup"); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // --- assign level ---

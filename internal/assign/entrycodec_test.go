@@ -22,35 +22,6 @@ func roundTrip(t *testing.T, enc func(alloccache.Entry) ([]byte, error), dec fun
 	return got
 }
 
-func TestDupEntryRoundTrip(t *testing.T) {
-	// Bit 63 set: the case JSON numbers cannot carry.
-	e := &dupResultEntry{
-		copies:    duplication.Copies{0: 1, 7: 1 << 63, 3: (1 << 63) | 5},
-		residual:  []int{4, 1, 9},
-		newCopies: 12,
-	}
-	got := roundTrip(t, encodeDupEntry, decodeDupEntry, e)
-	if !reflect.DeepEqual(got, e) {
-		t.Fatalf("round trip:\n got %#v\nwant %#v", got, e)
-	}
-}
-
-func TestDupEntryEmptyShapes(t *testing.T) {
-	// CloneEntry yields a non-nil empty map and nil slices; the decoder
-	// must reproduce that exact shape.
-	e := &dupResultEntry{copies: duplication.Copies{}, residual: nil, newCopies: 0}
-	got := roundTrip(t, encodeDupEntry, decodeDupEntry, e).(*dupResultEntry)
-	if got.copies == nil || len(got.copies) != 0 {
-		t.Fatalf("copies = %#v, want non-nil empty", got.copies)
-	}
-	if got.residual != nil {
-		t.Fatalf("residual = %#v, want nil", got.residual)
-	}
-	if !reflect.DeepEqual(got, e.CloneEntry()) {
-		t.Fatalf("decode differs from CloneEntry shape")
-	}
-}
-
 func TestAllocEntryRoundTrip(t *testing.T) {
 	e := &allocEntry{al: Allocation{
 		Copies:      duplication.Copies{1: 3, 2: 1 << 63},
@@ -97,7 +68,6 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 	decoders := map[string]func([]byte) (alloccache.Entry, error){
 		"assign":    decodeAllocEntry,
-		"dup":       decodeDupEntry,
 		"atomcolor": decodeAtomColorEntry,
 	}
 	for name, dec := range decoders {
@@ -120,10 +90,10 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if _, err := decodeAllocEntry(bad); err == nil {
 		t.Fatal("accepted wrong format byte")
 	}
-	// Invalid bool byte.
-	data2, _ := encodeDupEntry(&dupResultEntry{copies: duplication.Copies{}})
+	// Another level's payload.
+	data2, _ := encodeAtomColorEntry(&atomColorResult{assign: map[int]int{}})
 	if _, err := decodeAllocEntry(data2); err == nil {
-		t.Fatal("assign decoder accepted a dup payload")
+		t.Fatal("assign decoder accepted an atomcolor payload")
 	}
 }
 
@@ -143,12 +113,6 @@ func TestCodecsRegisteredForAllLevels(t *testing.T) {
 	keys := map[string]alloccache.Entry{}
 	{
 		k := alloccache.NewKey(nil)
-		k.Str("dup")
-		k.Str("x")
-		keys[k.String()] = &dupResultEntry{copies: duplication.Copies{2: 1 << 63}, residual: []int{1}}
-	}
-	{
-		k := alloccache.NewKey(nil)
 		k.Str("assign")
 		k.Str("x")
 		keys[k.String()] = &allocEntry{al: Allocation{Copies: duplication.Copies{0: 1}, TotalCopies: 1, SingleCopy: 1}}
@@ -162,8 +126,8 @@ func TestCodecsRegisteredForAllLevels(t *testing.T) {
 	for key, e := range keys {
 		c.Put(key, e)
 	}
-	if len(back.m) != 3 {
-		t.Fatalf("backing holds %d records, want 3 (a level is missing its codec)", len(back.m))
+	if len(back.m) != len(keys) {
+		t.Fatalf("backing holds %d records, want %d (a level is missing its codec)", len(back.m), len(keys))
 	}
 	// A cold cache over the same backing must reproduce every entry.
 	c2 := alloccache.New(8)

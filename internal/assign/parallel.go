@@ -122,7 +122,7 @@ func colorOneAtom(st *phaseState, a atoms.Atom, removed map[int]bool, assigned, 
 			return e.(*atomColorResult)
 		}
 	}
-	res := coloring.GuptaSoffa(sub, coloring.Options{K: opt.K, Precolored: preA, Pick: opt.Pick, Reference: opt.Reference, Scratch: sc})
+	res := colorGraph(sub, coloring.Options{K: opt.K, Precolored: preA, Pick: opt.Pick, Scratch: sc})
 	out := &atomColorResult{assign: res.Assign, unassigned: res.Unassigned}
 	sp.SetAttr("unassigned", int64(len(res.Unassigned)))
 	if opt.Cache != nil {

@@ -81,7 +81,7 @@ func (h *wheap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = ol
 
 // MCSM runs the MCS-M algorithm on g, returning a minimal elimination
 // ordering and the fill of the corresponding minimal triangulation. It runs
-// on a dense snapshot of g (see mcsmDense); MCSMRef is the map-backed
+// on a dense snapshot of g (see mcsmDense); mcsmRef is the map-backed
 // original, which produces bit-identical results.
 func MCSM(g *graph.Graph) Triangulation {
 	sc := arena.Get()
@@ -89,9 +89,10 @@ func MCSM(g *graph.Graph) Triangulation {
 	return mcsmDense(graph.FromGraphScratch(g, sc), sc)
 }
 
-// MCSMRef is the original map-graph MCS-M implementation, retained as the
-// differential-test and ablation baseline of mcsmDense.
-func MCSMRef(g *graph.Graph) Triangulation {
+// mcsmRef is the original map-graph MCS-M implementation: the ordering step
+// of the map decomposition (decomposeConnectedRef) and the differential-test
+// baseline of mcsmDense.
+func mcsmRef(g *graph.Graph) Triangulation {
 	nodes := g.Nodes()
 	n := len(nodes)
 	weight := make(map[int]int, n)
@@ -201,16 +202,11 @@ func MCSMRef(g *graph.Graph) Triangulation {
 // graph is decomposed one connected component at a time. An empty graph
 // yields no atoms.
 //
-// The per-component work runs on the dense graph core; DecomposeRef is the
-// map-backed original, which produces bit-identical results.
+// The per-component work runs on the dense graph core;
+// DecomposeParallelRef is the map-backed original, which produces
+// bit-identical results.
 func Decompose(g *graph.Graph) Decomposition {
 	return decomposeWith(g, decomposeConnectedDense)
-}
-
-// DecomposeRef is Decompose on the original map-graph implementation,
-// retained as the differential-test and ablation baseline of the dense core.
-func DecomposeRef(g *graph.Graph) Decomposition {
-	return decomposeWith(g, decomposeConnectedRef)
 }
 
 func decomposeWith(g *graph.Graph, fn decomposeFunc) Decomposition {
@@ -233,7 +229,7 @@ type decomposeFunc func(*graph.Graph, *Decomposition, *arena.Scratch)
 // using the map-backed graph throughout. It ignores the scratch — the
 // reference implementation allocates freshly by design.
 func decomposeConnectedRef(g *graph.Graph, d *Decomposition, _ *arena.Scratch) {
-	tri := MCSMRef(g)
+	tri := mcsmRef(g)
 	d.Fill += len(tri.Fill)
 
 	// H = G + fill.

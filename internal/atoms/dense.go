@@ -20,8 +20,8 @@ import (
 func mcsmDense(d *graph.Dense, sc *arena.Scratch) Triangulation {
 	n := d.N()
 	weight := sc.Ints(n)
-	// numbered is a bitset so the "unnumbered neighbors of x" scans below
-	// run word-at-a-time through the dense adjacency rows.
+	// numbered is a bitset over dense indices, probed by the "unnumbered
+	// neighbors of x" row scans below.
 	numbered := sc.Uint64s(graph.BitsetWords(n))
 	order := sc.Ints(n) // dense indices; converted to ids at the end
 	var fill []graph.Edge
@@ -180,29 +180,11 @@ func pqPop(pq []uint64) (uint64, []uint64) {
 }
 
 // cliqueIdx reports whether the dense indices in sIdx are pairwise adjacent
-// in gd, comparing whole adjacency words against the set's bitset (sbits,
-// with swords listing its non-zero word indices) when gd has a bitset form.
-// It answers exactly like pairwise HasEdgeIdx probes — each pair must be an
-// edge — just 64 candidates per word instead of one.
-func cliqueIdx(gd *graph.Dense, sIdx []int32, sbits []uint64, swords []int32) bool {
-	if !gd.HasRowWords() {
-		for i := 0; i < len(sIdx); i++ {
-			for j := i + 1; j < len(sIdx); j++ {
-				if !gd.HasEdgeIdx(sIdx[i], sIdx[j]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, u := range sIdx {
-		uw := int(u) >> 6
-		for _, w := range swords {
-			need := sbits[w]
-			if int(w) == uw {
-				need &^= 1 << (uint(u) & 63) // a vertex is not its own neighbor
-			}
-			if need&^gd.RowWord(u, int(w)) != 0 {
+// in gd.
+func cliqueIdx(gd *graph.Dense, sIdx []int32) bool {
+	for i := 0; i < len(sIdx); i++ {
+		for j := i + 1; j < len(sIdx); j++ {
+			if !gd.HasEdgeIdx(sIdx[i], sIdx[j]) {
 				return false
 			}
 		}
@@ -213,8 +195,8 @@ func cliqueIdx(gd *graph.Dense, sIdx []int32, sbits []uint64, swords []int32) bo
 // decomposeConnectedDense appends the atoms of the connected graph g to d,
 // using the dense core for the frozen reads: MCS-M runs on a Dense snapshot
 // of g, the triangulation H = G+F is snapshotted once fill edges are known,
-// clique tests compare whole words of G's bitset adjacency, and the
-// shrinking G' scans reuse neighbor buffers.
+// clique tests probe G's CSR rows, and the shrinking G' scans reuse neighbor
+// buffers.
 //
 // All frozen state (the gd/hd snapshots, the elimination scratch, the
 // position table) is borrowed from sc; the atoms and separators appended to
@@ -242,13 +224,7 @@ func decomposeConnectedDense(g *graph.Graph, d *Decomposition, sc *arena.Scratch
 
 	gp := g.Clone() // G', shrinking as components split off
 	var s []int
-	// Candidate-separator scratch for the word-parallel clique test: the
-	// dense indices of S, their bitset, and the bitset's non-zero words
-	// (cleared again after each candidate, so the zeroing cost is |S|, not
-	// n/64).
-	sIdx := sc.Int32s(gd.N())[:0]
-	sbits := sc.Uint64s(graph.BitsetWords(gd.N()))
-	swords := sc.Int32s(graph.BitsetWords(gd.N()))[:0]
+	sIdx := sc.Int32s(gd.N())[:0] // dense indices of S
 	for i, x := range tri.Order {
 		if !gp.HasNode(x) {
 			continue // already carved out with an earlier atom's component
@@ -257,22 +233,13 @@ func decomposeConnectedDense(g *graph.Graph, d *Decomposition, sc *arena.Scratch
 		// hd rows are ascending by index (= by id), so s is born sorted.
 		s = s[:0]
 		sIdx = sIdx[:0]
-		swords = swords[:0]
 		for _, u := range hd.Row(hd.Index(x)) {
 			if pos[u] > i && gp.HasNode(gd.ID(u)) {
 				s = append(s, gd.ID(u))
 				sIdx = append(sIdx, u)
-				if w := u >> 6; sbits[w] == 0 {
-					swords = append(swords, w)
-				}
-				graph.SetBit(sbits, u)
 			}
 		}
-		clique := len(s) > 0 && cliqueIdx(gd, sIdx, sbits, swords)
-		for _, u := range sIdx {
-			graph.ClearBit(sbits, u)
-		}
-		if !clique {
+		if len(s) == 0 || !cliqueIdx(gd, sIdx) {
 			continue
 		}
 		// S is a clique in G; check that removing it separates x from the

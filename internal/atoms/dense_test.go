@@ -23,6 +23,11 @@ func randomAtomGraph(r *rand.Rand, n int, p float64) *graph.Graph {
 	return g
 }
 
+// decomposeRef is Decompose on the map-backed implementation.
+func decomposeRef(g *graph.Graph) Decomposition {
+	return decomposeWith(g, decomposeConnectedRef)
+}
+
 // TestMCSMDenseMatchesRef proves the dense MCS-M bit-identical to the
 // map-backed reference: same elimination order and same fill edges for
 // every random input.
@@ -31,7 +36,7 @@ func TestMCSMDenseMatchesRef(t *testing.T) {
 	for iter := 0; iter < 120; iter++ {
 		n := r.Intn(30)
 		g := randomAtomGraph(r, n, r.Float64()*0.5)
-		want := MCSMRef(g)
+		want := mcsmRef(g)
 		got := MCSM(g)
 		if !reflect.DeepEqual(got.Order, want.Order) {
 			t.Fatalf("iter %d: order %v, want %v\n%s", iter, got.Order, want.Order, g)
@@ -50,7 +55,7 @@ func TestDecomposeDenseMatchesRef(t *testing.T) {
 	for iter := 0; iter < 80; iter++ {
 		n := r.Intn(26)
 		g := randomAtomGraph(r, n, r.Float64()*0.4)
-		want := DecomposeRef(g)
+		want := decomposeRef(g)
 		got := Decompose(g)
 		if len(got.Atoms) != len(want.Atoms) {
 			t.Fatalf("iter %d: %d atoms, want %d\n%s", iter, len(got.Atoms), len(want.Atoms), g)
@@ -90,7 +95,7 @@ func TestDecomposeParallelRefMatches(t *testing.T) {
 		}
 		base += 10
 	}
-	want := DecomposeRef(g)
+	want := decomposeRef(g)
 	got := DecomposeParallelRef(g, 4)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("parallel ref decomposition diverged")

@@ -17,8 +17,9 @@ func DecomposeParallel(g *graph.Graph, workers int) Decomposition {
 	return decomposeParallelWith(g, workers, decomposeConnectedDense)
 }
 
-// DecomposeParallelRef is DecomposeParallel on the map-backed reference
-// implementation (see DecomposeRef).
+// DecomposeParallelRef is DecomposeParallel on the original map-graph
+// implementation, retained as the differential-test and ablation baseline
+// of the dense core. No production path calls it.
 func DecomposeParallelRef(g *graph.Graph, workers int) Decomposition {
 	return decomposeParallelWith(g, workers, decomposeConnectedRef)
 }

@@ -1,12 +1,12 @@
 package benchprog
 
-// Large synthetic assignment workloads for the scaling and blocked-bitset
+// Large synthetic assignment workloads for the scaling and incremental
 // benchmarks. Unlike the MPL programs in this package, these generate raw
 // instruction operand lists (value ids) fed straight into the assignment
 // engine, so graph size, density and component count can be dialed far past
-// what a compilable source program reaches — the chain family crosses the
-// flat-bitset ceiling (2048 nodes) onto the blocked representation, and the
-// cluster family exposes component-level parallelism to the worker pool.
+// what a compilable source program reaches — the chain family builds single
+// components of thousands of nodes, and the cluster family exposes
+// component-level parallelism to the worker pool.
 //
 // Both generators are deterministic: the same knobs always produce the same
 // instruction stream, so they double as differential-test corpora (dense vs
@@ -16,10 +16,9 @@ package benchprog
 // n values: consecutive instructions of width `width` overlap in exactly one
 // value, so every component is a connected chordal graph whose conflict
 // graph has n nodes and whose atoms are the width-cliques themselves. With
-// comps=1 and n past the flat-bitset ceiling this is the canonical
-// blocked-bitset workload; width is the density knob (clique size, so it
-// must stay at or below the module count for a conflict-free coloring to
-// exist).
+// comps=1 it is the large-single-graph workload (chain2600 in the scaling
+// benchmark); width is the density knob (clique size, so it must stay at
+// or below the module count for a conflict-free coloring to exist).
 func ChainInstrs(comps, n, width int) [][]int {
 	if width < 2 {
 		width = 2

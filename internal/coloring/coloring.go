@@ -43,18 +43,12 @@ type Options struct {
 	Precolored map[int]int
 	// Pick selects the module-choice policy; zero value is LowestIndex.
 	Pick PickPolicy
-	// Reference runs the original map-graph implementation of the urgency
-	// heuristic instead of the dense CSR-backed one. Both produce
-	// bit-identical results for every input (enforced by differential
-	// tests); the knob exists for those tests and for the ablation
-	// benchmarks that quantify the dense core's win.
-	Reference bool
 	// Scratch optionally supplies the arena the dense implementation
 	// borrows its selection-loop buffers from — worker pools pass their
 	// per-worker shard so repeated colorings reuse one working set. The
 	// caller owns its lifecycle (Reset between calls); nil draws a Scratch
-	// from the global pool for the duration of the call. The reference
-	// implementation ignores it.
+	// from the global pool for the duration of the call. GuptaSoffaMap
+	// ignores it.
 	Scratch *arena.Scratch
 }
 
@@ -72,22 +66,18 @@ type Result struct {
 // Result.Unassigned instead of failing. Panics if opt.K < 1 (caller bug) or
 // if a precolored node has an out-of-range module.
 //
-// The default implementation snapshots g into the dense graph core
-// (graph.Dense) and runs allocation-free index loops; opt.Reference selects
-// the original map-graph implementation, which produces bit-identical
-// results.
+// It snapshots g into the dense graph core (graph.Dense) and runs
+// allocation-free index loops; GuptaSoffaMap is the original map-graph
+// implementation, which produces bit-identical results.
 func GuptaSoffa(g *graph.Graph, opt Options) Result {
 	faultinject.Check("coloring.guptasoffa")
-	if opt.Reference {
-		return guptaSoffaMap(g, opt)
-	}
 	return guptaSoffaDense(g, opt)
 }
 
-// guptaSoffaMap is the original map-graph implementation of the urgency
+// GuptaSoffaMap is the original map-graph implementation of the urgency
 // heuristic, retained as the differential-test and ablation baseline of the
-// dense core.
-func guptaSoffaMap(g *graph.Graph, opt Options) Result {
+// dense core. No production path calls it.
+func GuptaSoffaMap(g *graph.Graph, opt Options) Result {
 	k := opt.K
 	if k < 1 {
 		panic(fmt.Sprintf("coloring: K = %d, need at least one module", k))

@@ -12,7 +12,7 @@ import (
 // arrays once, and the selection loop runs over index-addressed scratch
 // slices instead of per-iteration maps and sorted copies.
 //
-// It is bit-identical to guptaSoffaMap for every input: dense indices are
+// It is bit-identical to GuptaSoffaMap for every input: dense indices are
 // assigned in ascending id order, so every "lowest id first" tie-break of
 // the map implementation is "lowest index first" here, and both scan
 // candidates in that same order.
@@ -35,8 +35,8 @@ func guptaSoffaDense(g *graph.Graph, opt Options) Result {
 
 	assign := make(map[int]int, n)
 	asg := sc.Int32s(n) // module+1 per dense index; 0 = unassigned
-	// asgBits mirrors asg != 0 as a bitset, so the per-candidate
-	// assigned-neighbor scans run word-at-a-time through the adjacency rows.
+	// asgBits mirrors asg != 0 as a bitset, the mask of the per-candidate
+	// assigned-neighbor row scans.
 	asgBits := sc.Uint64s(graph.BitsetWords(n))
 	for v, m := range opt.Precolored {
 		if m < 0 || m >= k {
@@ -113,8 +113,8 @@ func guptaSoffaDense(g *graph.Graph, opt Options) Result {
 			for m := range used {
 				used[m] = false
 			}
-			// Assigned neighbors of i, word-parallel through the bitset;
-			// the CSR cursor j recovers each one's weight (both walks are
+			// Assigned neighbors of i (a CSR walk masked by asgBits); the
+			// cursor j recovers each one's weight (both walks are
 			// ascending, so the cursor only ever moves forward).
 			abuf = d.RowAndInto(i, asgBits, abuf[:0])
 			num := 0

@@ -46,9 +46,7 @@ func TestGuptaSoffaDenseMatchesMap(t *testing.T) {
 			pick = LeastLoaded
 		}
 		opt := Options{K: k, Precolored: pre, Pick: pick}
-		optRef := opt
-		optRef.Reference = true
-		want := GuptaSoffa(g, optRef)
+		want := GuptaSoffaMap(g, opt)
 		got := GuptaSoffa(g, opt)
 		if !reflect.DeepEqual(got.Assign, want.Assign) {
 			t.Fatalf("iter %d (k=%d pick=%d pre=%v): assign %v, want %v\n%s",
@@ -93,7 +91,7 @@ func BenchmarkColoringMap(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := GuptaSoffa(g, Options{K: 8, Reference: true})
+		res := GuptaSoffaMap(g, Options{K: 8})
 		if len(res.Assign) == 0 {
 			b.Fatal("empty result")
 		}

@@ -181,40 +181,6 @@ func matchAll(sets []ModSet) bool {
 	return st.matchAll(sets)
 }
 
-// hasSDRRef is the original map-and-slice implementation of HasSDR,
-// retained as the ablation baseline for BenchmarkDuplication*.
-func hasSDRRef(values []int, copies Copies) bool {
-	sets := make([]ModSet, 0, len(values))
-	for _, v := range values {
-		if s := copies[v]; s != 0 {
-			sets = append(sets, s)
-		}
-	}
-	matchedBy := make(map[int]int) // module -> set index
-	var try func(i int, visited *ModSet) bool
-	try = func(i int, visited *ModSet) bool {
-		for _, m := range sets[i].Modules() {
-			if visited.Has(m) {
-				continue
-			}
-			*visited = visited.Add(m)
-			holder, taken := matchedBy[m]
-			if !taken || try(holder, visited) {
-				matchedBy[m] = i
-				return true
-			}
-		}
-		return false
-	}
-	for i := range sets {
-		visited := ModSet(0)
-		if !try(i, &visited) {
-			return false
-		}
-	}
-	return true
-}
-
 // ConflictFree reports whether a whole instruction (operand set) is
 // fetchable in one cycle under the current copies.
 func ConflictFree(operands []int, copies Copies) bool {

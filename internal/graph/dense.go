@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -17,22 +16,13 @@ import (
 // "lowest index first" here — the dense and map implementations are
 // bit-identical by construction.
 //
-// Adjacency is stored twice, each form serving one access pattern:
-//
-//   - CSR (compressed sparse row): one flat neighbor array plus per-vertex
-//     offsets, neighbors pre-sorted ascending at build time. Iterating a
-//     neighborhood is a contiguous slice scan with zero allocation, where
-//     Graph.Neighbors allocates and re-sorts on every call.
-//   - A bitset adjacency for O(1) HasEdge and the word-at-a-time kernels of
-//     kernels.go. While n <= DenseBitsetMaxN it is a flat n×n matrix; up to
-//     BlockedBitsetMaxN it is a two-level blocked form that only
-//     materializes the non-empty 64-word blocks of each row (a quadratic
-//     matrix at 10k+ vertices would dwarf the win); beyond that HasEdge
-//     falls back to binary search in the CSR row of the smaller-degree
-//     endpoint.
-//
-// Edge weights ride in a flat []int32 parallel to the neighbor array, and
-// degrees are offset differences — no map lookups anywhere on the read path.
+// Adjacency is CSR (compressed sparse row): one flat neighbor array plus
+// per-vertex offsets, neighbors pre-sorted ascending at build time.
+// Iterating a neighborhood is a contiguous slice scan with zero allocation,
+// where Graph.Neighbors allocates and re-sorts on every call; HasEdgeIdx is
+// a binary search in the row of the smaller-degree endpoint. Edge weights
+// ride in a flat []int32 parallel to the neighbor array, and degrees are
+// offset differences — no map lookups anywhere on the read path.
 type Dense struct {
 	ids []int         // index -> original id, ascending
 	idx map[int]int32 // original id -> index
@@ -41,58 +31,7 @@ type Dense struct {
 	nbr []int32 // neighbor indices, sorted ascending within each row
 	wt  []int32 // edge weight parallel to nbr
 
-	// Flat bitset matrix (n <= the flat ceiling). Row i is
-	// bits[i*stride : (i+1)*stride].
-	bits   []uint64
-	stride int // uint64 words per bitset row (set for both bitset forms)
-
-	// Blocked bitset (flat ceiling < n <= the blocked ceiling). A row is
-	// bpr blocks of 64 words (4096 columns) each; only non-empty blocks
-	// exist. summary[r*bpr+b] has bit w set iff word b*64+w of row r is
-	// non-zero, so a zero summary word means the whole block is absent.
-	// blockRef[r*bpr+b] is 1+the block's position in blockWords (64 words
-	// per block), or 0 when the block is empty — zeroed scratch memory is
-	// the empty state for both arrays.
-	bpr        int // blocks per row = ceil(stride/64)
-	summary    []uint64
-	blockRef   []int32
-	blockWords []uint64
-
 	numEdges int
-}
-
-// DenseBitsetMaxN bounds the vertex count up to which FromGraph materializes
-// the flat bitset adjacency matrix. At the threshold the matrix occupies
-// n*n/8 = 512 KiB — small enough to live in L2 while covering every conflict
-// graph the paper's workloads produce by orders of magnitude.
-const DenseBitsetMaxN = 2048
-
-// BlockedBitsetMaxN bounds the vertex count up to which FromGraph builds
-// the blocked bitset when the flat matrix is too big. The per-row overhead
-// of the summary and block-reference arrays is 12 bytes per 4096-column
-// block — n²·12/4096 bytes total, ~29 MiB at the ceiling — while the
-// materialized blocks are bounded by the number of edges, so 10k+-vertex
-// conflict graphs stay on the O(1) bitset fast path instead of falling
-// back to CSR binary search.
-const BlockedBitsetMaxN = 1 << 17
-
-// blockWordsPerBlock is the block granularity of the blocked bitset: 64
-// words = 4096 columns, so one summary word exactly covers one block.
-const blockWordsPerBlock = 64
-
-// The active ceilings. They default to the constants above; tests lower
-// them via SetBitsetCeilings to force every representation at small n.
-var flatCeiling, blockedCeiling = DenseBitsetMaxN, BlockedBitsetMaxN
-
-// SetBitsetCeilings overrides the vertex-count ceilings of the flat and
-// blocked bitset forms and returns a func restoring the previous values.
-// Passing 0 for both forces the CSR binary-search fallback everywhere. It
-// is a test/benchmark hook for the representation-differential sweeps; it
-// must not be called concurrently with FromGraph.
-func SetBitsetCeilings(flat, blocked int) (restore func()) {
-	pf, pb := flatCeiling, blockedCeiling
-	flatCeiling, blockedCeiling = flat, blocked
-	return func() { flatCeiling, blockedCeiling = pf, pb }
 }
 
 // FromGraph builds the dense snapshot of g. Later mutations of g are not
@@ -103,10 +42,9 @@ func FromGraph(g *Graph) *Dense {
 }
 
 // FromGraphScratch is FromGraph with the backing arrays (ids, index map,
-// CSR offsets/neighbors/weights, bitset matrix) borrowed from sc. The
-// returned Dense is only valid until sc is Reset or Released and must not
-// escape that scope. A nil sc allocates fresh storage, identical to
-// FromGraph.
+// CSR offsets/neighbors/weights) borrowed from sc. The returned Dense is
+// only valid until sc is Reset or Released and must not escape that scope.
+// A nil sc allocates fresh storage, identical to FromGraph.
 func FromGraphScratch(g *Graph, sc *arena.Scratch) *Dense {
 	n := len(g.adj)
 	d := &Dense{
@@ -142,61 +80,7 @@ func FromGraphScratch(g *Graph, sc *arena.Scratch) *Dense {
 			d.wt[int(d.off[i])+j] = int32(g.adj[v][d.ids[u]])
 		}
 	}
-
-	switch {
-	case n > 0 && n <= flatCeiling:
-		d.stride = (n + 63) / 64
-		d.bits = sc.Uint64s(n * d.stride)
-		for i := 0; i < n; i++ {
-			for _, u := range d.Row(int32(i)) {
-				d.bits[i*d.stride+int(u)/64] |= 1 << (uint(u) % 64)
-			}
-		}
-	case n > flatCeiling && n <= blockedCeiling:
-		d.buildBlocked(sc)
-	}
 	return d
-}
-
-// buildBlocked materializes the two-level blocked bitset: a first pass
-// marks the summary words (counting non-empty blocks as they first
-// appear), a second assigns each non-empty block its slot in blockWords
-// and sets the adjacency bits.
-func (d *Dense) buildBlocked(sc *arena.Scratch) {
-	n := len(d.ids)
-	d.stride = (n + 63) / 64
-	d.bpr = (d.stride + blockWordsPerBlock - 1) / blockWordsPerBlock
-	d.summary = sc.Uint64s(n * d.bpr)
-	d.blockRef = sc.Int32s(n * d.bpr)
-
-	nblocks := 0
-	for i := 0; i < n; i++ {
-		base := i * d.bpr
-		for _, u := range d.Row(int32(i)) {
-			w := int(u) >> 6
-			b := base + w>>6
-			if d.summary[b] == 0 {
-				nblocks++
-			}
-			d.summary[b] |= 1 << (uint(w) & 63)
-		}
-	}
-	next := int32(0)
-	for b := range d.summary {
-		if d.summary[b] != 0 {
-			next++
-			d.blockRef[b] = next // 1-based; 0 = absent
-		}
-	}
-	d.blockWords = sc.Uint64s(nblocks * blockWordsPerBlock)
-	for i := 0; i < n; i++ {
-		base := i * d.bpr
-		for _, u := range d.Row(int32(i)) {
-			w := int(u) >> 6
-			ref := int(d.blockRef[base+w>>6]) - 1
-			d.blockWords[ref*blockWordsPerBlock+(w&63)] |= 1 << (uint(u) & 63)
-		}
-	}
 }
 
 // N returns the number of vertices.
@@ -232,24 +116,10 @@ func (d *Dense) Row(i int32) []int32 { return d.nbr[d.off[i]:d.off[i+1]] }
 func (d *Dense) WeightRow(i int32) []int32 { return d.wt[d.off[i]:d.off[i+1]] }
 
 // HasEdgeIdx reports whether the undirected edge {u,v} exists, by dense
-// index: one bitset probe when the flat matrix is materialized, a
-// summary-gated probe on the blocked form, otherwise a binary search in
-// the smaller-degree endpoint's CSR row.
+// index: a binary search in the smaller-degree endpoint's CSR row.
 func (d *Dense) HasEdgeIdx(u, v int32) bool {
 	if u == v {
 		return false
-	}
-	if d.bits != nil {
-		return d.bits[int(u)*d.stride+int(v)/64]&(1<<(uint(v)%64)) != 0
-	}
-	if d.summary != nil {
-		w := int(v) >> 6
-		b := int(u)*d.bpr + w>>6
-		if d.summary[b]&(1<<(uint(w)&63)) == 0 {
-			return false
-		}
-		ref := int(d.blockRef[b]) - 1
-		return d.blockWords[ref*blockWordsPerBlock+(w&63)]&(1<<(uint(v)&63)) != 0
 	}
 	if d.Deg(v) < d.Deg(u) {
 		u, v = v, u
@@ -257,55 +127,10 @@ func (d *Dense) HasEdgeIdx(u, v int32) bool {
 	return d.searchRow(u, v) >= 0
 }
 
-// BitsetKind names the adjacency representation answering HasEdgeIdx:
-// "flat" (n×n matrix), "blocked" (two-level blocked bitset) or "csr"
-// (binary-search fallback, no bitset). Tests and benchmarks assert the
-// fast path with it.
-func (d *Dense) BitsetKind() string {
-	switch {
-	case d.bits != nil:
-		return "flat"
-	case d.summary != nil:
-		return "blocked"
-	default:
-		return "csr"
-	}
-}
-
-// HasRowWords reports whether RowWord is available (some bitset form
-// exists).
-func (d *Dense) HasRowWords() bool { return d.bits != nil || d.summary != nil }
-
-// RowWord returns the w-th 64-bit adjacency word of row i (vertices
-// w*64..w*64+63). Only valid when HasRowWords; absent blocks of the
-// blocked form read as zero.
-func (d *Dense) RowWord(i int32, w int) uint64 {
-	if d.bits != nil {
-		return d.bits[int(i)*d.stride+w]
-	}
-	b := int(i)*d.bpr + w>>6
-	if d.summary[b]&(1<<(uint(w)&63)) == 0 {
-		return 0
-	}
-	ref := int(d.blockRef[b]) - 1
-	return d.blockWords[ref*blockWordsPerBlock+(w&63)]
-}
-
-// rowScanThreshold picks between the CSR-walk and word-walk forms of the
-// masked row scans: a row whose degree is well below the word count of the
-// whole bitset is cheaper to walk as a neighbor list with per-bit mask
-// probes, a denser one as whole words. Both walks emit ascending indices,
-// so the choice never changes results.
-func (d *Dense) rowScanThreshold(i int32) bool { return d.Deg(i) >= 2*d.stride }
-
 // RowAndNotInto appends to dst, in ascending order, every neighbor u of
 // row i whose mask bit is NOT set, and returns the extended slice. mask is
-// a flat bitset of BitsetWords(N()) words. On the bitset forms dense rows
-// are combined with the mask one uint64 word — 64 vertices — at a time.
+// a flat bitset of BitsetWords(N()) words.
 func (d *Dense) RowAndNotInto(i int32, mask []uint64, dst []int32) []int32 {
-	if d.HasRowWords() && d.rowScanThreshold(i) {
-		return d.rowMaskWords(i, mask, dst, true)
-	}
 	for _, u := range d.Row(i) {
 		if !TestBit(mask, u) {
 			dst = append(dst, u)
@@ -317,51 +142,9 @@ func (d *Dense) RowAndNotInto(i int32, mask []uint64, dst []int32) []int32 {
 // RowAndInto appends to dst, in ascending order, every neighbor u of row i
 // whose mask bit IS set, and returns the extended slice.
 func (d *Dense) RowAndInto(i int32, mask []uint64, dst []int32) []int32 {
-	if d.HasRowWords() && d.rowScanThreshold(i) {
-		return d.rowMaskWords(i, mask, dst, false)
-	}
 	for _, u := range d.Row(i) {
 		if TestBit(mask, u) {
 			dst = append(dst, u)
-		}
-	}
-	return dst
-}
-
-// rowMaskWords is the word-walk form of the masked row scans: row ∧ ¬mask
-// (andNot) or row ∧ mask, whole words at a time, ascending.
-func (d *Dense) rowMaskWords(i int32, mask []uint64, dst []int32, andNot bool) []int32 {
-	if d.bits != nil {
-		row := d.bits[int(i)*d.stride : (int(i)+1)*d.stride]
-		for w, x := range row {
-			if andNot {
-				x &^= mask[w]
-			} else {
-				x &= mask[w]
-			}
-			dst = appendWordBits(dst, int32(w)<<6, x)
-		}
-		return dst
-	}
-	base := int(i) * d.bpr
-	for b := 0; b < d.bpr; b++ {
-		sum := d.summary[base+b]
-		if sum == 0 {
-			continue
-		}
-		ref := int(d.blockRef[base+b]) - 1
-		block := d.blockWords[ref*blockWordsPerBlock : (ref+1)*blockWordsPerBlock]
-		for sum != 0 {
-			s := bits.TrailingZeros64(sum)
-			sum &= sum - 1
-			w := b*blockWordsPerBlock + s
-			x := block[s]
-			if andNot {
-				x &^= mask[w]
-			} else {
-				x &= mask[w]
-			}
-			dst = appendWordBits(dst, int32(w)<<6, x)
 		}
 	}
 	return dst

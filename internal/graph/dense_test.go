@@ -28,8 +28,8 @@ func randomIDGraph(r *rand.Rand, n int, p float64) *Graph {
 }
 
 // TestDenseMatchesGraph fuzzes FromGraph: every Dense accessor must agree
-// with the mutable Graph it was built from. These sizes stay under the
-// bitset threshold; TestDenseBinarySearchPath covers the CSR fallback.
+// with the mutable Graph it was built from. TestDenseBinarySearchPath covers
+// adjacency probes at a larger size.
 func TestDenseMatchesGraph(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 50; iter++ {
@@ -107,11 +107,11 @@ func TestDenseMatchesGraph(t *testing.T) {
 	}
 }
 
-// TestDenseBinarySearchPath checks HasEdgeIdx beyond the bitset threshold,
-// where adjacency probes binary-search the CSR rows instead.
+// TestDenseBinarySearchPath checks HasEdgeIdx, a binary search in the CSR
+// row of the smaller-degree endpoint, on a graph of a few thousand vertices.
 func TestDenseBinarySearchPath(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	n := DenseBitsetMaxN + 50
+	n := 2100
 	g := New()
 	for i := 0; i < n; i++ {
 		g.AddNode(i)

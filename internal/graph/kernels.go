@@ -4,14 +4,13 @@ import "math/bits"
 
 // Word-at-a-time bitset kernels.
 //
-// The hot phases of the assignment engine (MCS-M ordering, clique-separator
-// carving, urgency coloring) spend their time asking set questions about
-// adjacency rows: "which neighbors are still unnumbered", "which neighbors
-// are already assigned", "does this row contain that whole set". Answering
-// them one vertex at a time costs a branch per bit; these kernels answer
-// them one uint64 word — 64 vertices — at a time, and every iteration order
-// is ascending bit order, so call sites keep the "lowest id first"
-// tie-break rules of the reference algorithms bit-identically.
+// The hot phases of the assignment engine (MCS-M ordering, urgency
+// coloring) keep per-vertex flags — "already numbered", "already assigned"
+// — as flat bitsets over dense indices and probe them while walking CSR
+// rows. These kernels answer set questions about such bitsets one uint64
+// word — 64 vertices — at a time, and every iteration order is ascending
+// bit order, so call sites keep the "lowest id first" tie-break rules of
+// the reference algorithms bit-identically.
 //
 // A bitset over n vertices is a []uint64 of BitsetWords(n) words; bit i of
 // word i/64 is vertex i. All binary kernels require len(dst) >= len(src)
@@ -109,15 +108,6 @@ func AppendSetBits(dst []int32, s []uint64) []int32 {
 			dst = append(dst, base+int32(bits.TrailingZeros64(x)))
 			x &= x - 1
 		}
-	}
-	return dst
-}
-
-// appendWordBits appends the set bits of one word (offset by base) to dst.
-func appendWordBits(dst []int32, base int32, x uint64) []int32 {
-	for x != 0 {
-		dst = append(dst, base+int32(bits.TrailingZeros64(x)))
-		x &= x - 1
 	}
 	return dst
 }

@@ -8,8 +8,7 @@ import (
 // This file implements delta patching of the frozen Dense snapshot for the
 // incremental recompilation path. A program edit perturbs O(delta) conflict
 // edges; Patch rebuilds only the touched CSR rows (copying the untouched
-// spans wholesale when the vertex set is stable) and re-derives the bitset
-// adjacency under the same ceiling rules as FromGraph, so the result is
+// spans wholesale when the vertex set is stable), so the result is
 // structurally indistinguishable from a cold FromGraph of the edited
 // conflict graph — the canonical hash machinery keyed on (degree,index)
 // ranks and sorted relabeled edges therefore sees identical input either
@@ -187,36 +186,6 @@ func (d *Dense) Patch(deltas []WeightDelta, addNodes, dropNodes []int) *Dense {
 		oi := d.idx[ids[i]]
 		copy(dst, d.Row(oi))
 		copy(dwt, d.WeightRow(oi))
-	}
-
-	// Bitset adjacency under the same ceilings as FromGraphScratch. When
-	// the flat form survives with a stable vertex set, untouched rows copy
-	// and only touched rows re-derive; every other transition rebuilds
-	// from the (already patched) CSR.
-	switch {
-	case n > 0 && n <= flatCeiling:
-		nd.stride = (n + 63) / 64
-		nd.bits = make([]uint64, n*nd.stride)
-		if sameIDs && d.bits != nil && nd.stride == d.stride {
-			copy(nd.bits, d.bits)
-			for i := range merged {
-				row := nd.bits[int(i)*nd.stride : (int(i)+1)*nd.stride]
-				for w := range row {
-					row[w] = 0
-				}
-				for _, u := range nd.Row(i) {
-					row[int(u)/64] |= 1 << (uint(u) % 64)
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				for _, u := range nd.Row(int32(i)) {
-					nd.bits[i*nd.stride+int(u)/64] |= 1 << (uint(u) % 64)
-				}
-			}
-		}
-	case n > flatCeiling && n <= blockedCeiling:
-		nd.buildBlocked(nil)
 	}
 	return nd
 }

@@ -105,7 +105,9 @@ func newFlightRecorder(cfg Config) *flightRecorder {
 }
 
 // record appends one completed request and fires a capture if it trips a
-// trigger. Called once per request, after the response is written.
+// trigger. Called once per request, before its response is written, and
+// returns only once the capture (if any) is spooled and listed — so a
+// client that has its reply can already read the capture (DESIGN §15).
 func (fr *flightRecorder) record(rec FlightRecord) {
 	reason := fr.triggerReason(rec)
 	fr.mu.Lock()
@@ -135,22 +137,22 @@ func (fr *flightRecorder) record(rec FlightRecord) {
 	}
 	fr.mu.Unlock()
 
-	// Build the capture fully before publishing it: once it is on the
-	// captures list, /debug/flight may serve it concurrently.
+	// Build the capture fully and make it durable before publishing it:
+	// once it is on the captures list, /debug/flight may serve it and list
+	// its spool file concurrently.
 	fc.Spans = fr.traceSpans(rec.Trace)
+	if fr.dir != "" {
+		if err := fr.spool(fc); err != nil {
+			fr.mDropped(reason).Inc()
+		}
+	}
 	fr.mu.Lock()
 	fr.captures = append(fr.captures, fc)
 	if len(fr.captures) > fr.maxCaptures {
 		fr.captures = fr.captures[len(fr.captures)-fr.maxCaptures:]
 	}
 	fr.mu.Unlock()
-
 	fr.mCaptures(reason).Inc()
-	if fr.dir != "" {
-		if err := fr.spool(fc); err != nil {
-			fr.mDropped(reason).Inc()
-		}
-	}
 }
 
 // triggerReason classifies a record against the trigger taxonomy; "" means

@@ -485,7 +485,10 @@ func (s *Server) serveConn(nc net.Conn) {
 			var meta reqMeta
 			resp := s.process(c, f, &meta)
 			resp.Trace = meta.trace.TraceID()
-			s.respond(c, f.Op, f.ID, resp)
+			// The request's flight record (and capture, if it trips a
+			// trigger) completes before its response is written, so a
+			// client holding the reply can already read them. Latency runs
+			// from frame ingress to response ready.
 			us := time.Since(start).Microseconds()
 			s.cfg.Telemetry.Histogram(telemetry.MServerReqMicros, "op", f.Op.String()).
 				ObserveExemplar(us, resp.Trace)
@@ -503,6 +506,7 @@ func (s *Server) serveConn(nc net.Conn) {
 				rec.Degraded = resp.Result.Degraded
 			}
 			s.flight.record(rec)
+			s.respond(c, f.Op, f.ID, resp)
 		}(f)
 	}
 }

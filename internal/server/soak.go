@@ -402,26 +402,19 @@ func (st *soakState) flightCheck(ctx context.Context) error {
 		atomic.AddInt64(&st.rep.TraceEchoMismatches, 1)
 	}
 
-	// The capture is written just after the response; poll briefly.
+	// The daemon lists a request's capture before writing its response,
+	// so every capture the probe can trigger is visible by now.
 	client := &http.Client{Timeout: 5 * time.Second}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var total int64
-		for _, base := range st.opt.FlightURLs {
-			n, err := fetchFlightCaptures(client, base)
-			if err != nil {
-				return fmt.Errorf("soak: flight index %s: %w", base, err)
-			}
-			total += n
+	var total int64
+	for _, base := range st.opt.FlightURLs {
+		n, err := fetchFlightCaptures(client, base)
+		if err != nil {
+			return fmt.Errorf("soak: flight index %s: %w", base, err)
 		}
-		st.rep.FlightCaptures = total
-		if total > 0 || time.Now().After(deadline) {
-			return nil
-		}
-		if !pause(ctx, 200*time.Millisecond) {
-			return nil
-		}
+		total += n
 	}
+	st.rep.FlightCaptures = total
+	return nil
 }
 
 // fetchFlightCaptures counts one daemon's retained flight captures via its

@@ -68,7 +68,7 @@ type (
 	// API call lets a panic escape.
 	InternalError = budget.InternalError
 	// AllocCache memoizes assignment subproblems (atom colorings,
-	// duplication phases, whole assignments) across compilations. It is a
+	// incremental components, whole assignments) across compilations. It is a
 	// pure memo — hits return exactly what the computation would have
 	// produced — and is safe for concurrent use, so one cache can serve
 	// many goroutines compiling in parallel. Create one with NewAllocCache
@@ -209,12 +209,6 @@ type Options struct {
 	// also composes the persistent tier. Cache is still honored when
 	// Store is nil.
 	Cache *AllocCache
-	// Reference runs the map-graph reference implementations of the hot
-	// assignment phases (urgency coloring, clique-separator decomposition)
-	// instead of the dense CSR/bitset-backed ones. Output is bit-identical
-	// either way — the knob exists for the differential tests and ablation
-	// benchmarks that prove and measure that.
-	Reference bool
 	// Telemetry records spans and metrics for this compilation (see
 	// NewRecorder and DESIGN §10). nil — the default — disables all
 	// telemetry: the instrumented paths reduce to one pointer test and
@@ -431,7 +425,6 @@ func Compile(src string, opt Options) (p *Program, err error) {
 		Budget:       opt.Budget,
 		Workers:      opt.Workers,
 		Cache:        cache,
-		Reference:    opt.Reference,
 		Meter:        opt.meter,
 		Telemetry:    rec,
 		Parent:       root,
@@ -512,9 +505,6 @@ type AssignConfig struct {
 	//
 	// Deprecated: use Store; see Options.Cache.
 	Cache *AllocCache
-	// Reference selects the map-graph reference implementations of the hot
-	// assignment phases; see Options.Reference.
-	Reference bool
 	// Telemetry records spans and metrics for this call; see
 	// Options.Telemetry.
 	Telemetry *Recorder
@@ -552,7 +542,6 @@ func AssignValues(ctx context.Context, instrs []Instruction, cfg AssignConfig) (
 		Budget:    cfg.Budget,
 		Workers:   cfg.Workers,
 		Cache:     cache,
-		Reference: cfg.Reference,
 		Meter:     cfg.meter,
 		Telemetry: cfg.Telemetry,
 	})

@@ -38,10 +38,9 @@ type scalingCorpus struct {
 //   - clusters: 16 disjoint circulant cliques — component-level parallelism
 //     for both the coloring and the duplication pool, searches dominant.
 //   - chains: 8 disjoint 400-node chain-of-cliques components — wide, sparse,
-//     graph-phase dominant, still on the flat bitset.
-//   - blocked3k: one 2600-node chain past the flat-bitset ceiling — the
-//     blocked-representation workload (single component, so it measures the
-//     representation, not the pool).
+//     graph-phase dominant.
+//   - chain2600: one 2600-node chain — a single component, so it measures
+//     the graph phases on one large graph, not the pool.
 func scalingCorpora() map[string]scalingCorpus {
 	unlimited := Budget{MaxBacktrackNodes: -1}
 	return map[string]scalingCorpus{
@@ -53,7 +52,7 @@ func scalingCorpora() map[string]scalingCorpus {
 			instrs: toInstructions(benchprog.ChainInstrs(8, 400, 4)),
 			cfg:    AssignConfig{K: 8, Budget: unlimited},
 		},
-		"blocked3k": {
+		"chain2600": {
 			instrs: toInstructions(benchprog.ChainInstrs(1, 2600, 4)),
 			cfg:    AssignConfig{K: 8, Budget: unlimited},
 		},
@@ -67,7 +66,7 @@ func scalingCorpora() map[string]scalingCorpus {
 // past the core count is not expected to hold).
 func BenchmarkAssignScaling(b *testing.B) {
 	cores := float64(runtime.NumCPU())
-	names := []string{"clusters", "chains", "blocked3k"}
+	names := []string{"clusters", "chains", "chain2600"}
 	corpora := scalingCorpora()
 	for _, name := range names {
 		wl := corpora[name]

@@ -1,13 +1,11 @@
 package parmem
 
-// Pipeline-level coverage of the blocked-bitset boundary and the sharded
-// arena machinery. The graph package proves the representations agree probe
-// by probe (internal/graph/kernels_test.go); the tests here prove the
-// composition: whole assignments crossing the DenseBitsetMaxN ceiling must
-// be bit-identical whether the engine runs on the flat bitset, the blocked
-// bitset, the CSR fallback or the map-backed reference — sequentially or
-// across a worker pool — and the per-worker arena shards must hold up under
-// concurrent batch traffic (run with -race via `make race` / `make check`).
+// Pipeline-level coverage of large single-component graphs and the sharded
+// arena machinery. Whole assignments of chains with a few thousand values
+// must be bit-identical whether the engine runs on the dense core or the
+// map-backed reference, sequentially or across a worker pool, and the
+// per-worker arena shards must hold up under concurrent batch traffic (run
+// with -race via `make race` / `make check`).
 
 import (
 	"context"
@@ -16,9 +14,8 @@ import (
 	"testing"
 
 	"parmem/internal/arena"
+	"parmem/internal/assign"
 	"parmem/internal/benchprog"
-	"parmem/internal/conflict"
-	"parmem/internal/graph"
 )
 
 // toInstructions adapts a benchprog workload (operand lists as [][]int) to
@@ -31,52 +28,32 @@ func toInstructions(ops [][]int) []Instruction {
 	return out
 }
 
-// TestBlockedBitsetBoundaryPipeline sweeps single-component chain-of-cliques
-// graphs across the flat-bitset ceiling (n = 2047, 2048, 2049, then ~3k) and
-// requires four full assignment runs to agree bit for bit: the default
-// representation (flat below the ceiling, blocked above), the forced CSR
-// fallback, the map-backed reference, and the parallel engine on the default
-// representation.
-func TestBlockedBitsetBoundaryPipeline(t *testing.T) {
-	sizes := []int{graph.DenseBitsetMaxN - 1, graph.DenseBitsetMaxN, graph.DenseBitsetMaxN + 1}
+// TestLargeChainPipeline assigns single-component chain-of-cliques graphs
+// of n = 2047, 2048, 2049 and ~3k values (the sizes that once straddled
+// the switch between adjacency representations) and requires three full
+// assignment runs to agree bit for bit: the default dense engine, the
+// map-backed reference, and the parallel engine.
+func TestLargeChainPipeline(t *testing.T) {
+	sizes := []int{2047, 2048, 2049}
 	if !testing.Short() {
 		sizes = append(sizes, 3001)
 	}
 	for _, n := range sizes {
 		instrs := toInstructions(benchprog.ChainInstrs(1, n, 4))
-
-		// Sanity: the component really sits on the representation the sweep
-		// thinks it is exercising.
-		d := graph.FromGraph(conflict.Build(instrs))
-		wantKind := "flat"
-		if n > graph.DenseBitsetMaxN {
-			wantKind = "blocked"
-		}
-		if got := d.BitsetKind(); got != wantKind {
-			t.Fatalf("n=%d: conflict graph built as %q, want %q", n, got, wantKind)
-		}
-
 		cfg := AssignConfig{K: 8, Workers: 1, Budget: Budget{MaxBacktrackNodes: -1}}
 		base, err := AssignValues(context.Background(), instrs, cfg)
 		if err != nil {
-			t.Fatalf("n=%d: default backend: %v", n, err)
+			t.Fatalf("n=%d: default engine: %v", n, err)
 		}
 		if base.Degraded {
 			t.Fatalf("n=%d: degraded under an unlimited budget", n)
 		}
 
-		restore := graph.SetBitsetCeilings(0, 0)
-		csr, err := AssignValues(context.Background(), instrs, cfg)
+		restore := assign.UseMapOracles()
+		ref, err := AssignValues(context.Background(), instrs, cfg)
 		restore()
 		if err != nil {
-			t.Fatalf("n=%d: forced-CSR backend: %v", n, err)
-		}
-
-		refCfg := cfg
-		refCfg.Reference = true
-		ref, err := AssignValues(context.Background(), instrs, refCfg)
-		if err != nil {
-			t.Fatalf("n=%d: reference backend: %v", n, err)
+			t.Fatalf("n=%d: reference engine: %v", n, err)
 		}
 
 		parCfg := cfg
@@ -87,11 +64,9 @@ func TestBlockedBitsetBoundaryPipeline(t *testing.T) {
 		}
 
 		want := stripVolatile(base)
-		for label, got := range map[string]Allocation{
-			"forced-csr": csr, "reference": ref, "workers=4": par,
-		} {
+		for label, got := range map[string]Allocation{"reference": ref, "workers=4": par} {
 			if !reflect.DeepEqual(want, stripVolatile(got)) {
-				t.Errorf("n=%d: %s allocation diverged from the default backend", n, label)
+				t.Errorf("n=%d: %s allocation diverged from the default engine", n, label)
 			}
 		}
 	}
